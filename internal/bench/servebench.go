@@ -42,7 +42,7 @@ type ServeReport struct {
 	Dataset    string  `json:"dataset"`
 	Vertices   int     `json:"vertices"`
 	Arcs       int64   `json:"arcs"`
-	CacheRows  int     `json:"cache_rows"`
+	HotRows    int     `json:"cache_rows"`
 	Workers    int     `json:"workers"`
 	Clients    int     `json:"clients"`
 	HotSources int     `json:"hot_sources"`
@@ -53,7 +53,8 @@ type ServeReport struct {
 	// Latencies are client-observed, per HTTP request, over loopback.
 	P50Ns int64 `json:"p50_ns"`
 	P99Ns int64 `json:"p99_ns"`
-	// HitRate is serve.cache.hits / serve.cache.lookups at the end of the
+	// HitRate is the T1 share of the lookups that reached a row tier,
+	// serve.store.t1_hits / (lookups - sketch_answered), at the end of the
 	// run; ApproxShare the fraction of answers served from oracle bounds.
 	HitRate     float64          `json:"hit_rate"`
 	ApproxShare float64          `json:"approx_share"`
@@ -86,13 +87,13 @@ func BuildServeReport(cfg Config) (*ServeReport, error) {
 			workers = p
 		}
 	}
-	cacheRows := n / 8
-	if cacheRows < 2*serveBenchHotSrc {
-		cacheRows = 2 * serveBenchHotSrc // the hot set must be cacheable
+	hotRows := n / 8
+	if hotRows < 2*serveBenchHotSrc {
+		hotRows = 2 * serveBenchHotSrc // the hot set must fit in T1
 	}
 	s, err := serve.New(g, serve.Config{
 		Workers:     workers,
-		CacheBytes:  int64(cacheRows) * int64(n) * 4,
+		CacheBytes:  int64(hotRows) * int64(n) * 4,
 		Landmarks:   16,
 		MaxInflight: 4 * serveBenchClients,
 	})
@@ -154,7 +155,7 @@ func BuildServeReport(cfg Config) (*ServeReport, error) {
 		Dataset:    "power-law",
 		Vertices:   n,
 		Arcs:       g.NumArcs(),
-		CacheRows:  cacheRows,
+		HotRows:    hotRows,
 		Workers:    workers,
 		Clients:    serveBenchClients,
 		HotSources: hot,
@@ -167,8 +168,8 @@ func BuildServeReport(cfg Config) (*ServeReport, error) {
 		Throttled:  snap["serve.throttled"],
 		Metrics:    snap,
 	}
-	if lk := snap["serve.cache.lookups"]; lk > 0 {
-		rep.HitRate = float64(snap["serve.cache.hits"]) / float64(lk)
+	if lk := snap["serve.store.lookups"] - snap["serve.store.sketch_answered"]; lk > 0 {
+		rep.HitRate = float64(snap["serve.store.t1_hits"]) / float64(lk)
 	}
 	if q := rep.Queries; q > 0 {
 		rep.ApproxShare = float64(snap["serve.answers.approx"]) / float64(q)
@@ -250,9 +251,9 @@ func runServe(cfg Config, w io.Writer) error {
 	t := &Table{
 		Title: fmt.Sprintf("mixed hot/cold workload: %d clients x %d requests, %d%% from %d hot sources",
 			rep.Clients, serveBenchPerC, int(rep.HotShare*100), rep.HotSources),
-		Header: []string{"dataset", "n", "cache rows", "hit rate", "p50", "p99", "approx share", "throttled"},
+		Header: []string{"dataset", "n", "T1 rows", "hit rate", "p50", "p99", "approx share", "throttled"},
 	}
-	t.AddRow(rep.Dataset, rep.Vertices, rep.CacheRows,
+	t.AddRow(rep.Dataset, rep.Vertices, rep.HotRows,
 		fmt.Sprintf("%.1f%%", rep.HitRate*100),
 		FormatDuration(time.Duration(rep.P50Ns)),
 		FormatDuration(time.Duration(rep.P99Ns)),

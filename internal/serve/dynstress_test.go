@@ -19,6 +19,7 @@ import (
 	"parapsp/internal/gen"
 	"parapsp/internal/graph"
 	"parapsp/internal/matrix"
+	"parapsp/internal/store"
 )
 
 // applyReplica mirrors one committed server mutation onto a local graph
@@ -80,9 +81,9 @@ func pickOp(rng *rand.Rand, g *graph.Graph) dyn.EdgeOp {
 // every pinned version's ground truth recomputed with Floyd-Warshall:
 // each answer must match the FW distance at exactly its pinned version,
 // no matter how many mutations landed while the query was in flight.
-// The run must be clean under -race, the cache ledger must reconcile
-// (lookups == hits + misses), and so must the mutation ledger
-// (scanned == retagged + repaired + invalidated).
+// The run must be clean under -race, the store ledger must reconcile
+// (lookups == sketch + t1 + t2 + t3 + misses), and so must the mutation
+// ledger (scanned == retagged + repaired + invalidated).
 func TestDynamicMutateWhileQueryDifferential(t *testing.T) {
 	const (
 		n          = 64
@@ -96,8 +97,8 @@ func TestDynamicMutateWhileQueryDifferential(t *testing.T) {
 	}
 	s := newTestServer(t, g0, Config{
 		Workers:     2,
-		CacheRows:   32, // < n: evictions happen alongside reconciliation
-		Landmarks:   -1, // exact answers only: every answer is FW-checkable
+		CacheBytes:  hotRows(g0, 32), // < n: evictions happen alongside reconciliation
+		Landmarks:   -1,              // exact answers only: every answer is FW-checkable
 		MaxInflight: 4 * queryGs,
 	})
 
@@ -253,13 +254,10 @@ func TestDynamicMutateWhileQueryDifferential(t *testing.T) {
 	}
 
 	// Ledgers (the mutating extension of the stress-test reconciliation):
-	// cache counters stay exact under mutation, and the dynamic ledger
+	// store counters stay exact under mutation, and the dynamic ledger
 	// accounts for every row the reconciler examined.
 	snap := s.Metrics().Snapshot()
-	if snap["serve.cache.lookups"] != snap["serve.cache.hits"]+snap["serve.cache.misses"] {
-		t.Fatalf("cache counters do not reconcile under mutation: lookups=%d hits=%d misses=%d",
-			snap["serve.cache.lookups"], snap["serve.cache.hits"], snap["serve.cache.misses"])
-	}
+	checkStoreLedger(t, snap)
 	if snap["serve.dyn.scanned"] != snap["serve.dyn.retagged"]+snap["serve.dyn.repaired"]+snap["serve.dyn.invalidated"] {
 		t.Fatalf("dyn ledger does not reconcile: scanned=%d retagged=%d repaired=%d invalidated=%d",
 			snap["serve.dyn.scanned"], snap["serve.dyn.retagged"],
@@ -272,8 +270,8 @@ func TestDynamicMutateWhileQueryDifferential(t *testing.T) {
 		t.Fatalf("reconciler never exercised retag (%d) or invalidate (%d)",
 			snap["serve.dyn.retagged"], snap["serve.dyn.invalidated"])
 	}
-	// The tiered store reconciles alongside the hot cache: its ledger
-	// must account for every compressed frame a mutation examined.
+	// T2/T3 reconcile in the same pass as T1: their ledger must account
+	// for every compressed frame a mutation examined.
 	if snap["serve.store.dyn.scanned"] != snap["serve.store.dyn.retagged"]+
 		snap["serve.store.dyn.repaired"]+snap["serve.store.dyn.dropped"] {
 		t.Fatalf("store dyn ledger does not reconcile: scanned=%d retagged=%d repaired=%d dropped=%d",
@@ -292,7 +290,7 @@ func TestVersionPinnedCacheSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gen: %v", err)
 	}
-	s := newTestServer(t, g, Config{Workers: 1, CacheRows: n, Landmarks: -1})
+	s := newTestServer(t, g, Config{Workers: 1, CacheBytes: hotRows(g, n), Landmarks: -1})
 	ctx := context.Background()
 	truth1 := baseline.FloydWarshall(g)
 
@@ -330,7 +328,7 @@ found:
 		t.Fatal("no row-improving insert found in test graph")
 	}
 
-	missesBefore := s.Metrics().Snapshot()["serve.cache.misses"]
+	before := s.Metrics().Snapshot()
 	res, err := s.ApplyEdge(op)
 	if err != nil {
 		t.Fatalf("ApplyEdge(%v): %v", op, err)
@@ -354,7 +352,7 @@ found:
 
 	// The version-1 entry is untouched: exactly version-1 distances, even
 	// where version 2 differs — a reader pinned to v never observes v+1.
-	old := s.cache.peek(src, 1)
+	old, _ := s.tiers.Peek(store.Key{Src: src, Ver: 1})
 	if old == nil {
 		t.Fatal("version-1 row evicted unexpectedly")
 	}
@@ -365,7 +363,7 @@ found:
 	}
 	// The version-2 entry was repaired pre-publish: exact for the new
 	// graph, and answering from it is a hit, not a re-solve.
-	repaired := s.cache.peek(src, 2)
+	repaired, _ := s.tiers.Peek(store.Key{Src: src, Ver: 2})
 	if repaired == nil {
 		t.Fatal("reconcile did not carry src's row to version 2")
 	}
@@ -381,8 +379,71 @@ found:
 	if want := distToJSON(truth2.At(int(src), n-1)); as[0].Dist != want {
 		t.Fatalf("post-mutation answer %d, want %d", as[0].Dist, want)
 	}
-	if got := s.Metrics().Snapshot()["serve.cache.misses"]; got != missesBefore {
-		t.Fatalf("repaired row did not serve as a hit: misses %d -> %d", missesBefore, got)
+	after := s.Metrics().Snapshot()
+	if d := after["serve.store.misses"] - before["serve.store.misses"]; d != 0 {
+		t.Fatalf("repaired row did not serve as a hit: %d new misses", d)
+	}
+	if d := after["serve.store.t1_hits"] - before["serve.store.t1_hits"]; d != 1 {
+		t.Fatalf("repaired row answered with %d T1 hits, want 1", d)
+	}
+}
+
+// TestDynamicNoEffectMutationKeepsOneTier pins the one-pass reconcile on
+// a full T1: a mutation that changes no distance carries every hot row to
+// the new version in T1 alone. The displaced old-version rows are not
+// demoted (they are superseded), so the compressed pass scans only the
+// frames T2/T3 held before the mutation, and no key at the new version is
+// resident in two tiers.
+func TestDynamicNoEffectMutationKeepsOneTier(t *testing.T) {
+	const hot, warmed = 16, 24
+	g := testGraph(t, 400, 43)
+	s := newTestServer(t, g, Config{Workers: 1, CacheBytes: hotRows(g, hot), Landmarks: -1})
+	ctx := context.Background()
+	for u := int32(0); u < warmed; u++ {
+		if _, err := dist(s, ctx, u, u+1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.StoreStats()
+	if st.HotRows != hot || st.WarmRows == 0 {
+		t.Fatalf("warm-up left %+v, want a full T1 of %d rows and frames in T2", st, hot)
+	}
+	framesBefore := int64(st.WarmRows + st.ColdRows)
+
+	// Reweighting an edge to its own weight changes no distance.
+	var op dyn.EdgeOp
+	for v := int32(1); int(v) < g.N(); v++ {
+		if w, ok := g.ArcWeight(0, v); ok {
+			op = dyn.EdgeOp{Op: dyn.OpReweight, U: 0, V: v, W: w}
+			break
+		}
+	}
+	if op.Op == 0 {
+		t.Fatal("vertex 0 has no edge")
+	}
+	before := s.Metrics().Snapshot()
+	res, err := s.ApplyEdge(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kind != "none" || res.Scanned != hot || res.Retagged != hot {
+		t.Fatalf("mutation result %+v: want every T1 row retagged", res)
+	}
+	after := s.Metrics().Snapshot()
+	if d := after["serve.store.demotes"] - before["serve.store.demotes"]; d != 0 {
+		t.Fatalf("the mutation demoted %d rows", d)
+	}
+	if d := after["serve.store.dyn.scanned"] - before["serve.store.dyn.scanned"]; d != framesBefore {
+		t.Fatalf("compressed reconcile scanned %d frames, want the %d resident before the mutation", d, framesBefore)
+	}
+	dups := 0
+	for u := int32(0); int(u) < g.N(); u++ {
+		if row, tier := s.tiers.Peek(store.Key{Src: u, Ver: res.Version}); row != nil && tier != store.TierNone {
+			dups++
+		}
+	}
+	if dups != 0 {
+		t.Fatalf("%d keys at version %d resident in T1 and T2/T3", dups, res.Version)
 	}
 }
 

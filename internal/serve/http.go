@@ -324,9 +324,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		status = "draining"
 	}
+	// The hit rate covers the lookups that reached a row tier: sketch
+	// answers never do.
 	hitRate := 0.0
-	if lookups := s.m.lookups.Load(); lookups > 0 {
-		hitRate = float64(s.m.hits.Load()) / float64(lookups)
+	if lookups := s.m.storeLookups.Load() - s.m.storeSketch.Load(); lookups > 0 {
+		hitRate = float64(s.m.storeT1.Load()) / float64(lookups)
 	}
 	st := s.StoreStats()
 	setVersion(w, snap.Version)
@@ -336,7 +338,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Vertices:           s.n,
 		Arcs:               snap.G.NumArcs(),
 		GraphVersion:       snap.Version,
-		CachedRows:         s.CachedRows(),
+		CachedRows:         st.HotRows,
 		Landmarks:          landmarks,
 		Inflight:           s.Inflight(),
 		Draining:           draining,
@@ -344,7 +346,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		PremiumInflight:    s.InflightTier(admit.Premium),
 		BestEffortInflight: s.InflightTier(admit.BestEffort),
 		QuotaClients:       s.QuotaClients(),
-		CachedBytes:        s.CachedBytes(),
+		CachedBytes:        st.HotBytes,
 		WarmRows:           st.WarmRows,
 		WarmBytes:          st.WarmBytes,
 		ColdRows:           st.ColdRows,

@@ -27,7 +27,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	truth := baseline.FloydWarshall(g)
 	s, err := New(g, Config{
 		Workers:        1,
-		CacheRows:      512, // no eviction noise; every query is a cold solve
+		CacheBytes:     hotRows(g, 512), // no eviction noise; every query is a cold solve
 		Landmarks:      -1,
 		MaxInflight:    64,
 		RequestTimeout: 30 * time.Second,

@@ -35,7 +35,7 @@ func TestStressMixedWorkload(t *testing.T) {
 	truth := baseline.FloydWarshall(g)
 	s := newTestServer(t, g, Config{
 		Workers:        2,
-		CacheRows:      24, // << 220 sources: forces eviction + cold paths
+		CacheBytes:     hotRows(g, 24), // << 220 sources: forces eviction + cold paths
 		Landmarks:      8,
 		SpillBytes:     1 << 20, // engage the cold tier too: T1->T2->T3 churn
 		SpillDir:       t.TempDir(),
@@ -90,28 +90,18 @@ func TestStressMixedWorkload(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	t.Logf("answered=%d approx=%d busy=%d cached=%d",
-		answered.Load(), approxSeen.Load(), busy.Load(), s.CachedRows())
+		answered.Load(), approxSeen.Load(), busy.Load(), s.StoreStats().HotRows)
 
 	snap := s.Metrics().Snapshot()
-	if snap["serve.cache.lookups"] != snap["serve.cache.hits"]+snap["serve.cache.misses"] {
-		t.Fatalf("cache counters do not reconcile: lookups=%d hits=%d misses=%d",
-			snap["serve.cache.lookups"], snap["serve.cache.hits"], snap["serve.cache.misses"])
-	}
-	// The tiered-store ledger (satellite 2): every counted lookup is
-	// answered by exactly one of the sketch, the three tiers, or a solve.
-	wantLookups := snap["serve.store.sketch_answered"] + snap["serve.store.t1_hits"] +
-		snap["serve.store.t2_promotes"] + snap["serve.store.t3_promotes"] + snap["serve.store.misses"]
-	if snap["serve.store.lookups"] != wantLookups {
-		t.Fatalf("store ledger does not reconcile: lookups=%d sketch=%d t1=%d t2=%d t3=%d misses=%d",
-			snap["serve.store.lookups"], snap["serve.store.sketch_answered"], snap["serve.store.t1_hits"],
-			snap["serve.store.t2_promotes"], snap["serve.store.t3_promotes"], snap["serve.store.misses"])
-	}
+	// The store ledger: every counted lookup is answered by exactly one
+	// of the sketch, the three tiers, or a solve.
+	checkStoreLedger(t, snap)
 	if snap["serve.solve.rows"] < snap["serve.store.misses"] {
 		t.Fatalf("solved %d rows but store missed %d times (every store miss must be solved)",
 			snap["serve.solve.rows"], snap["serve.store.misses"])
 	}
-	if got := s.CachedRows(); got > 24 {
-		t.Fatalf("cache exceeded capacity: %d rows", got)
+	if got := s.StoreStats().HotRows; got > 24 {
+		t.Fatalf("hot tier exceeded capacity: %d rows", got)
 	}
 	if snap["serve.store.t2_promotes"]+snap["serve.store.t3_promotes"] == 0 {
 		t.Fatal("undersized hot tier never promoted from the compressed tiers")
@@ -123,7 +113,7 @@ func TestStressMixedWorkload(t *testing.T) {
 }
 
 func stressExact(s *Server, truth *matrix.Matrix, u, v int32) error {
-	ans, err := s.Dist(context.Background(), u, v, 0)
+	ans, err := dist(s, context.Background(), u, v, 0)
 	if err != nil {
 		return err
 	}
@@ -138,7 +128,7 @@ func stressExact(s *Server, truth *matrix.Matrix, u, v int32) error {
 // true distance (truth <= Dist <= (1+tol)*truth when finite) and the
 // reported bounds are themselves valid.
 func stressApprox(s *Server, truth *matrix.Matrix, u, v int32, tol float64, seen *atomic.Int64) error {
-	ans, err := s.Dist(context.Background(), u, v, tol)
+	ans, err := dist(s, context.Background(), u, v, tol)
 	if err != nil {
 		return err
 	}

@@ -6,21 +6,24 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parapsp/internal/matrix"
 	"parapsp/internal/obs"
 )
 
-// Key identifies one distance row: a source vertex at a graph version —
-// the same keying as the serving layer's hot tier, so the three tiers
-// compose under the PR 8 versioned-cache semantics.
+// Key identifies one distance row: a source vertex at a graph version.
+// Versioning the key is what lets mutations and queries overlap without
+// blocking: a reader pinned to version p only ever sees rows computed for
+// p, while a mutation installs the next version's rows (by retag, repair,
+// or omission) alongside the old ones.
 type Key struct {
 	Src int32
 	Ver uint64
 }
 
-// Tier names where a Get found (or did not find) a row.
+// Tier names the compressed tier a frame was found in (or not).
 type Tier uint8
 
 const (
@@ -59,11 +62,16 @@ const (
 
 // Config tunes a Store.
 type Config struct {
-	// N is the row length (the served graph's vertex count). Every Put
-	// and Get moves rows of exactly this length.
+	// N is the row length (the served graph's vertex count). Every row the
+	// store holds has exactly this length.
 	N int
-	// WarmBytes budgets the in-memory compressed tier; <= 0 disables it
-	// (every Put goes straight to spill, or is dropped when spill is off).
+	// HotBytes budgets T1, the LRU of uncompressed rows at 4*N bytes each.
+	// At least one row is always kept, so a budget below one row degrades
+	// to a single-row tier instead of thrashing.
+	HotBytes int64
+	// WarmBytes budgets the in-memory compressed tier (T2); <= 0 disables
+	// it (demoted rows go straight to spill, or are dropped when spill is
+	// off).
 	WarmBytes int64
 	// SpillBytes budgets the live bytes of the disk arena; <= 0 disables
 	// spilling entirely.
@@ -77,10 +85,43 @@ type Config struct {
 	// Refs is the optional compression dictionary (nearest-landmark
 	// reference rows); nil encodes every frame as self-delta.
 	Refs RefProvider
-	// Metrics receives the store's internal counters (store.*): spill
-	// timing, compactions, decode/roundtrip errors, recovered frames.
-	// nil creates a private registry.
+	// Metrics receives the row ledger (serve.store.*, see ledger) and the
+	// compressed tiers' internal counters (store.*: spill timing,
+	// compactions, decode errors, recovered frames). nil creates a private
+	// registry.
 	Metrics *obs.Metrics
+}
+
+// ledger is the store's one lookup ledger. Every distinct source of an
+// Acquire counts one lookup that resolves in exactly one of t1_hits,
+// t2_promotes, t3_promotes and misses; the serving layer books its sketch
+// answers, which touch no tier, into lookups and sketch_answered of the
+// same registry, so lookups == sketch + t1 + t2 + t3 + misses. The names
+// keep the serve.store prefix under which the ledger has always been
+// published.
+type ledger struct {
+	lookups, t1, t2, t3, misses   *obs.Counter
+	coalesced, evictions, demotes *obs.Counter
+	t2Time, t3Time, demoteTime    obs.Timing
+}
+
+func newLedger(reg *obs.Metrics) ledger {
+	return ledger{
+		lookups: reg.Counter("serve.store.lookups"),
+		t1:      reg.Counter("serve.store.t1_hits"),
+		t2:      reg.Counter("serve.store.t2_promotes"),
+		t3:      reg.Counter("serve.store.t3_promotes"),
+		misses:  reg.Counter("serve.store.misses"),
+		// coalesced is the subset of t1_hits that waited on another
+		// caller's solve; evictions counts rows leaving T1, demotes the
+		// subset encoded into T2/T3.
+		coalesced:  reg.Counter("serve.store.coalesced"),
+		evictions:  reg.Counter("serve.store.evictions"),
+		demotes:    reg.Counter("serve.store.demotes"),
+		t2Time:     reg.Timing("serve.store.t2_promote"),
+		t3Time:     reg.Timing("serve.store.t3_promote"),
+		demoteTime: reg.Timing("serve.store.demote"),
+	}
 }
 
 // entryState tracks where a frame's bytes live.
@@ -102,18 +143,35 @@ type entry struct {
 	// Retagging rebinds key without rewriting the record, so the two can
 	// differ; arena reads validate the header against diskKey.
 	diskKey Key
-	elem   *list.Element
+	elem    *list.Element
 	// dropped marks an entry the index abandoned while it sat in the
 	// spill queue; the writeback goroutine discards it on arrival.
 	dropped bool
 }
 
-// Store is the warm+cold compressed row store. All index state is behind
-// one mutex; the only long-running work under it is a frame decode
-// (O(n) varint scan). Arena file I/O happens in the writeback goroutine
-// and in Get's cold reads (the arena has its own lock).
+// Store is the three-tier row store. T1 holds uncompressed rows in a
+// byte-budgeted LRU, together with the pending entries that coalesce
+// concurrent solves; T2 holds delta-compressed frames of what T1 evicts,
+// and T3 spills frames to a disk arena.
+//
+// T1 has its own mutex, held only for map and list updates: a T1 hit
+// takes that one lock and allocates nothing, and no encode, decode, arena
+// I/O or compaction ever runs under it. The compressed index is behind
+// mu; the only long-running work under mu is a frame decode in Reconcile
+// and a compaction in the writeback goroutine. Arena file I/O happens in
+// the writeback goroutine and in cold reads (the arena has its own lock).
 type Store struct {
-	cfg Config
+	cfg    Config
+	ledger ledger
+
+	hotMu    sync.Mutex
+	hot      map[Key]*hotEntry        // ready rows
+	pending  map[pendingKey]*hotEntry // in-flight solves and promotions
+	lru      *list.List               // ready entries, front = most recently used
+	hotBytes int64
+	// latest is the newest version Reconcile has carried rows to; T1
+	// rows of older versions are dropped on eviction, not demoted.
+	latest atomic.Uint64
 
 	mu      sync.Mutex
 	index   map[Key]*entry
@@ -158,6 +216,10 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		cfg:        cfg,
+		ledger:     newLedger(cfg.Metrics),
+		hot:        make(map[Key]*hotEntry),
+		pending:    make(map[pendingKey]*hotEntry),
+		lru:        list.New(),
 		index:      make(map[Key]*entry),
 		warmLRU:    list.New(),
 		coldLRU:    list.New(),
@@ -203,11 +265,14 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Put encodes row and admits it to the warm tier (or directly to the
+// compressed reports whether T2 or T3 is enabled.
+func (s *Store) compressed() bool { return s.cfg.WarmBytes > 0 || s.arena != nil }
+
+// put encodes row and admits it to the warm tier (or directly to the
 // spill queue when the warm tier is disabled). An existing frame for the
 // same key is replaced. Rows are copied by encoding — the caller keeps
 // ownership of row.
-func (s *Store) Put(key Key, row []matrix.Dist) {
+func (s *Store) put(key Key, row []matrix.Dist) {
 	if len(row) != s.cfg.N {
 		return
 	}
@@ -254,13 +319,13 @@ func (s *Store) Put(key Key, row []matrix.Dist) {
 	s.enqueueSpillLocked(e)
 }
 
-// Get removes and decodes the frame for key, returning the row and the
+// get removes and decodes the frame for key, returning the row and the
 // tier it came from, or (nil, TierNone). The returned row is freshly
 // decoded into dst when dst has capacity (else allocated) — promotion is
 // exclusive, so the frame leaves the store. A frame that fails to decode
 // (corrupt arena record, missing dictionary) counts a decode error and
 // reports a miss; the caller re-solves.
-func (s *Store) Get(key Key, dst []matrix.Dist) ([]matrix.Dist, Tier) {
+func (s *Store) get(key Key, dst []matrix.Dist) ([]matrix.Dist, Tier) {
 	s.mu.Lock()
 	e, ok := s.index[key]
 	if !ok || s.closed {
@@ -302,30 +367,60 @@ func (s *Store) Get(key Key, dst []matrix.Dist) ([]matrix.Dist, Tier) {
 	return row, tier
 }
 
-// Contains reports whether key is resident in any tier.
-func (s *Store) Contains(key Key) bool {
+// Peek reports where key is resident without counting a lookup or
+// touching recency: its T1 row (nil when absent) and the compressed tier
+// holding a frame for it (TierNone when none does).
+func (s *Store) Peek(key Key) ([]matrix.Dist, Tier) {
+	s.hotMu.Lock()
+	var row []matrix.Dist
+	if e, ok := s.hot[key]; ok {
+		row = e.row
+	}
+	s.hotMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.index[key]
-	return ok
+	e, ok := s.index[key]
+	switch {
+	case !ok:
+		return row, TierNone
+	case e.state == stateCold:
+		return row, TierCold
+	default:
+		return row, TierWarm
+	}
 }
 
-// RecStats is one Reconcile's ledger: Scanned == Retagged + Repaired +
-// Dropped, with Aged counting frames of versions older than the mutating
-// one (no query can reach them once the new version publishes; they are
-// discarded without classification).
+// RecStats is one tier group's Reconcile ledger: Scanned == Retagged +
+// Repaired + Dropped. Labels sums what the repair closure returned. Aged
+// counts frames of versions older than the mutating one (no query can
+// reach them once the new version publishes; they are discarded without
+// classification); T1 rows of old versions age out through the LRU
+// instead.
 type RecStats struct {
-	Scanned, Retagged, Repaired, Dropped, Aged int
+	Scanned, Retagged, Repaired, Dropped, Aged, Labels int
 }
 
-// Reconcile carries frames at oldVer over to newVer during a mutation's
-// pre-publish window, mirroring the hot tier's retag/repair/drop rules:
-// judge classifies each decoded row, repair fixes a Repair-classified row
-// in place (the row is then exact at newVer and re-encoded), and frames
-// older than oldVer are aged out. Retagging costs no re-encode — the
-// frame bytes are content-addressed by the reference dictionary, not the
-// version — and cold frames retag without touching the disk.
-func (s *Store) Reconcile(oldVer, newVer uint64, judge func(row []matrix.Dist) Verdict, repair func(row []matrix.Dist)) RecStats {
+// Reconcile carries every tier's rows at oldVer over to newVer during a
+// mutation's pre-publish window, in one pass: T1 first, then T2/T3, with
+// the same rules. judge classifies each row; Keep retags it for free,
+// Repair hands it to repair (which fixes it in place and returns the
+// labels it lowered; the row is then exact at newVer), Drop discards it.
+// The stats come back split into hot (T1) and compressed (T2/T3).
+func (s *Store) Reconcile(oldVer, newVer uint64, judge func(row []matrix.Dist) Verdict, repair func(row []matrix.Dist) int) (hot, compressed RecStats) {
+	s.latest.Store(newVer)
+	hot = s.reconcileHot(oldVer, newVer, judge, repair)
+	if s.compressed() {
+		compressed = s.reconcileFrames(oldVer, newVer, judge, repair)
+	}
+	return hot, compressed
+}
+
+// reconcileFrames is Reconcile over T2/T3: a frame is decoded, judged,
+// and retagged, repaired and re-encoded, or dropped; frames older than
+// oldVer are aged out. Retagging costs no re-encode — the frame bytes are
+// content-addressed by the reference dictionary, not the version — and
+// cold frames retag without touching the disk.
+func (s *Store) reconcileFrames(oldVer, newVer uint64, judge func(row []matrix.Dist) Verdict, repair func(row []matrix.Dist) int) RecStats {
 	var st RecStats
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -383,7 +478,7 @@ func (s *Store) Reconcile(oldVer, newVer uint64, judge func(row []matrix.Dist) V
 			s.retagLocked(e, Key{Src: k.Src, Ver: newVer})
 			st.Retagged++
 		case Repair:
-			repair(row)
+			st.Labels += repair(row)
 			s.removeLocked(e)
 			s.putWarmLocked(Key{Src: k.Src, Ver: newVer}, row)
 			st.Repaired++
@@ -609,6 +704,8 @@ func (s *Store) arenaSize() int64 {
 // Stats is a point-in-time residency snapshot for /healthz and the
 // storebench report.
 type Stats struct {
+	HotRows   int
+	HotBytes  int64
 	WarmRows  int
 	WarmBytes int64
 	ColdRows  int
@@ -618,13 +715,13 @@ type Stats struct {
 
 // Snapshot returns the current residency stats.
 func (s *Store) Snapshot() Stats {
+	var st Stats
+	s.hotMu.Lock()
+	st.HotRows, st.HotBytes = s.lru.Len(), s.hotBytes
+	s.hotMu.Unlock()
 	s.mu.Lock()
-	st := Stats{
-		WarmRows:  s.warmLRU.Len(),
-		WarmBytes: s.warm,
-		ColdRows:  s.coldLRU.Len(),
-		ColdBytes: s.cold,
-	}
+	st.WarmRows, st.WarmBytes = s.warmLRU.Len(), s.warm
+	st.ColdRows, st.ColdBytes = s.coldLRU.Len(), s.cold
 	s.mu.Unlock()
 	if s.arena != nil {
 		st.ArenaFile = s.arenaSize()

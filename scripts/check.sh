@@ -17,6 +17,9 @@ go vet ./...
 echo "== go test -shuffle=on ./... (fuzz seed corpus + cmd e2e smoke included)"
 go test -shuffle=on ./...
 
+echo "== perfbench (nested module: root go build ./... skips it)"
+(cd perfbench && go vet . && go test .)
+
 echo "== go test -race . ./internal/..."
 go test -race . ./internal/...
 
